@@ -18,59 +18,58 @@ type DMAPool struct {
 	mem  *mem.Memory
 	pool *sim.Resource
 
-	// freeDone recycles the inline-leg completion records, so the
-	// common no-spill transfer allocates nothing.
+	// freeDone recycles transfer completion records, so a transfer
+	// allocates nothing whether or not it spills.
 	freeDone *dmaDone
 
 	Transfers  uint64
 	BytesMoved uint64
 }
 
-// dmaDone is one pooled inline-leg completion: the engine-wait and
-// NoC segments plus the caller's continuation, with fn bound once.
+// dmaDone is one pooled transfer completion: it joins the inline leg
+// (engine wait plus NoC) and, for a spilling transfer, the spill leg
+// through memory, then runs the caller's continuation. Both leg
+// callbacks are bound once per record.
 type dmaDone struct {
-	d    *DMAPool
-	sp   *obs.Span
-	t0   sim.Time
-	hold sim.Time
-	done func()
-	next *dmaDone
-	fn   func()
+	d        *DMAPool
+	sp       *obs.Span
+	t0       sim.Time
+	hold     sim.Time
+	legs     int // legs still in flight
+	done     func()
+	next     *dmaDone
+	inlineFn func() // n.inline
+	spillFn  func() // n.spill
 }
 
-// run extracts its fields, recycles the record (done may start another
-// transfer and reuse it — nothing below touches n again), then records
-// the segments and continues.
-func (n *dmaDone) run() {
-	d := n.d
-	sp := n.sp
-	t0, hold := n.t0, n.hold
-	done := n.done
+// inline ends the engine-held leg: record its wait and NoC segments.
+func (n *dmaDone) inline() {
+	now := n.d.k.Now()
+	n.sp.Seg(obs.SegQueue, "adma", n.t0, now-n.hold)
+	n.sp.Seg(obs.SegNoC, "noc", now-n.hold, now)
+	n.legDone()
+}
+
+// spill ends the payload leg streamed through memory.
+func (n *dmaDone) spill() {
+	n.sp.Seg(obs.SegDMA, "dram", n.t0, n.d.k.Now())
+	n.legDone()
+}
+
+// legDone joins the legs. The last one recycles the record before the
+// continuation runs (done may start another transfer and reuse it —
+// nothing below touches n again).
+func (n *dmaDone) legDone() {
+	if n.legs--; n.legs > 0 {
+		return
+	}
+	d, done := n.d, n.done
 	n.sp, n.done = nil, nil
 	n.next = d.freeDone
 	d.freeDone = n
-	now := d.k.Now()
-	sp.Seg(obs.SegQueue, "adma", t0, now-hold)
-	sp.Seg(obs.SegNoC, "noc", now-hold, now)
 	if done != nil {
 		done()
 	}
-}
-
-// inlineDone returns a pooled completion for an inline-only transfer
-// whose engine hold starts now.
-func (d *DMAPool) inlineDone(sp *obs.Span, t0, hold sim.Time, done func()) func() {
-	n := d.freeDone
-	if n == nil {
-		n = &dmaDone{d: d}
-		n.fn = n.run
-	} else {
-		d.freeDone = n.next
-	}
-	n.sp = sp
-	n.t0, n.hold = t0, hold
-	n.done = done
-	return n.fn
 }
 
 // NewDMAPool builds the engine pool.
@@ -94,69 +93,34 @@ func (d *DMAPool) Transfer(src, dst noc.Node, bytes int, traceBytes int, sp *obs
 		inline = d.cfg.InlineDataBytes
 	}
 	spill := bytes - inline
-	t0 := d.k.Now()
+	n := d.freeDone
+	if n == nil {
+		n = &dmaDone{d: d}
+		n.inlineFn, n.spillFn = n.inline, n.spill
+	} else {
+		d.freeDone = n.next
+	}
+	n.sp, n.done = sp, done
+	n.t0 = d.k.Now()
 	// Inline part: the engine holds for the on-package route time.
-	hold := d.net.TransferTime(src, dst, inline+traceBytes)
-	if spill == 0 {
-		// Common case (payload fits the 2KB queue entry): no join
-		// counter needed — the inline leg is the only leg.
-		d.pool.Do(hold, d.inlineDone(sp, t0, hold, done))
-		return
+	n.hold = d.net.TransferTime(src, dst, inline+traceBytes)
+	n.legs = 1
+	if spill > 0 {
+		n.legs = 2
 	}
-	outstanding := 2
-	finish := func() {
-		outstanding--
-		if outstanding == 0 && done != nil {
-			done()
-		}
+	d.pool.Do(n.hold, n.inlineFn)
+	if spill > 0 {
+		// Spill part: moved through the cache-coherent LLC/memory path.
+		d.mem.Transfer(spill, n.spillFn)
 	}
-	d.pool.Do(hold, func() {
-		now := d.k.Now()
-		sp.Seg(obs.SegQueue, "adma", t0, now-hold)
-		sp.Seg(obs.SegNoC, "noc", now-hold, now)
-		finish()
-	})
-	// Spill part: moved through the cache-coherent LLC/memory path.
-	d.mem.Transfer(spill, func() {
-		sp.Seg(obs.SegDMA, "dram", t0, d.k.Now())
-		finish()
-	})
 }
 
-// ToMemory deposits result data at a memory location (end of trace).
-// Like Transfer, the engine carries only the inline part; payload
-// beyond the 2KB queue entry streams through the memory controllers.
+// ToMemory deposits result data at a memory location (end of trace):
+// a Transfer to the memory node with no trace bytes. The engine
+// carries only the inline part; payload beyond the 2KB queue entry
+// streams through the memory controllers.
 func (d *DMAPool) ToMemory(src noc.Node, memNode noc.Node, bytes int, sp *obs.Span, done func()) {
-	d.Transfers++
-	d.BytesMoved += uint64(bytes)
-	inline := bytes
-	if inline > d.cfg.InlineDataBytes {
-		inline = d.cfg.InlineDataBytes
-	}
-	spill := bytes - inline
-	t0 := d.k.Now()
-	hold := d.net.TransferTime(src, memNode, inline)
-	if spill == 0 {
-		d.pool.Do(hold, d.inlineDone(sp, t0, hold, done))
-		return
-	}
-	outstanding := 2
-	finish := func() {
-		outstanding--
-		if outstanding == 0 && done != nil {
-			done()
-		}
-	}
-	d.pool.Do(hold, func() {
-		now := d.k.Now()
-		sp.Seg(obs.SegQueue, "adma", t0, now-hold)
-		sp.Seg(obs.SegNoC, "noc", now-hold, now)
-		finish()
-	})
-	d.mem.Transfer(spill, func() {
-		sp.Seg(obs.SegDMA, "dram", t0, d.k.Now())
-		finish()
-	})
+	d.Transfer(src, memNode, bytes, 0, sp, done)
 }
 
 // Utilization reports engine-pool utilization.

@@ -304,9 +304,10 @@ func (c *Controller) NeedsTick() bool {
 func (c *Controller) Interval() sim.Time { return c.loop.spec.Interval }
 
 // Periodic packages the decision loop as a sim.Hooks entry for
-// single-kernel runs; the runner arms it after all arrivals are
-// scheduled, exactly like the obs sampler, so Kernel.Every's
-// self-termination ends the loop when the run ends.
+// single-kernel runs; the runner arms it after every source has
+// reserved its arrival sequence numbers, exactly like the obs sampler,
+// and each source keeps its next arrival queued until its last, so
+// Kernel.Every's self-termination ends the loop when the run ends.
 func (c *Controller) Periodic(k *sim.Kernel) sim.Periodic {
 	return sim.Periodic{Every: c.Interval(), Fn: func() { c.Tick(k.Now()) }}
 }

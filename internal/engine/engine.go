@@ -68,12 +68,13 @@ type Engine struct {
 	centralQDispatchCost sim.Time
 
 	// Free lists recycling the hot-path continuation records (see
-	// exec.go): glue passes, post-DMA deliveries, and post-results
-	// notifications. An engine is single-threaded like its kernel, so
-	// plain linked lists suffice.
-	freeGlue   *gluePass
-	freeComm   *commDone
-	freeNotify *notifyDone
+	// exec.go): glue passes, post-DMA deliveries, post-results
+	// notifications, and core enqueues. An engine is single-threaded
+	// like its kernel, so plain linked lists suffice.
+	freeGlue    *gluePass
+	freeComm    *commDone
+	freeNotify  *notifyDone
+	freeEnqueue *coreEnqueue
 }
 
 // New builds an engine for the given config and policy. Programs must
@@ -337,9 +338,11 @@ func (c *chainState) childDone(e *Engine) {
 	}
 }
 
-// entryState wraps an accel.Entry with its chain bookkeeping.
+// entryState wraps an accel.Entry with its chain bookkeeping. The
+// Entry is embedded by value, so one allocation holds both; the
+// accelerator side sees &ent.Entry.
 type entryState struct {
-	*accel.Entry
+	accel.Entry
 	chain   *chainState
 	retries int
 	sp      *obs.Span
@@ -347,7 +350,7 @@ type entryState struct {
 
 func (e *Engine) newEntry(r *request, c *chainState, prog *trace.Program, f trace.Flags, payload int) *entryState {
 	ent := &entryState{
-		Entry: &accel.Entry{
+		Entry: accel.Entry{
 			Prog: prog, PC: 0, Flags: f,
 			DataBytes: payload, Tenant: r.job.Tenant,
 			Deadline: r.deadline, EnqueuedAt: e.K.Now(),

@@ -5,7 +5,6 @@ import (
 
 	"accelflow/internal/accel"
 	"accelflow/internal/config"
-	"accelflow/internal/noc"
 	"accelflow/internal/obs"
 	"accelflow/internal/sim"
 	"accelflow/internal/trace"
@@ -37,17 +36,24 @@ func (e *Engine) enqueueFromCore(ent *entryState) {
 	}
 	r := ent.chain.req
 	switch e.Pol.Hop {
-	case HopDirect:
+	case HopDirect, HopCPU:
+		// Both trigger the first accelerator with a core Enqueue
+		// followed by an A-DMA move of payload and trace; only Ideal
+		// makes the Enqueue free.
 		cost := e.Cfg.EnqueueCost
-		if e.Pol.Ideal {
+		if e.Pol.Hop == HopDirect && e.Pol.Ideal {
 			cost = 0
 		}
-		t0 := e.K.Now()
-		e.Cores.Do(cost, func() {
-			r.bd.Orch += e.K.Now() - t0
-			ent.sp.QueuedSeg(obs.SegDispatch, "cores", t0, cost)
-			e.dmaToAccel(ent, e.Place.CoreNode(0), func() { e.deliver(ent, false) })
-		})
+		n := e.freeEnqueue
+		if n == nil {
+			n = &coreEnqueue{eng: e}
+			n.fn = n.run
+		} else {
+			e.freeEnqueue = n.next
+		}
+		n.ent = ent
+		n.t0, n.cost = e.K.Now(), cost
+		e.Cores.Do(cost, n.fn)
 	case HopManager:
 		t0 := e.K.Now()
 		e.Cores.Do(e.Cfg.EnqueueCost, func() {
@@ -64,13 +70,6 @@ func (e *Engine) enqueueFromCore(ent *entryState) {
 				})
 			})
 		})
-	case HopCPU:
-		t0 := e.K.Now()
-		e.Cores.Do(e.Cfg.EnqueueCost, func() {
-			r.bd.Orch += e.K.Now() - t0
-			ent.sp.QueuedSeg(obs.SegDispatch, "cores", t0, e.Cfg.EnqueueCost)
-			e.dmaToAccel(ent, e.Place.CoreNode(0), func() { e.deliver(ent, false) })
-		})
 	case HopSWQueue:
 		t0 := e.K.Now()
 		e.Cores.Do(e.Cfg.SWQueueHop, func() {
@@ -86,16 +85,31 @@ func (e *Engine) enqueueFromCore(ent *entryState) {
 	}
 }
 
-// dmaToAccel moves the payload and trace from a core-side node to the
-// entry's current target accelerator via an A-DMA engine.
-func (e *Engine) dmaToAccel(ent *entryState, src noc.Node, done func()) {
+// coreEnqueue is a pooled core-triggered enqueue: the core's Enqueue
+// hold, then the A-DMA move from the core to the first accelerator,
+// whose completion is a pooled commDone delivering the entry.
+type coreEnqueue struct {
+	eng  *Engine
+	ent  *entryState
+	t0   sim.Time
+	cost sim.Time
+	next *coreEnqueue
+	fn   func()
+}
+
+// run executes when the core's Enqueue hold ends: recycle the record,
+// charge the enqueue, and start the payload DMA.
+func (n *coreEnqueue) run() {
+	e := n.eng
+	ent := n.ent
+	t0, cost := n.t0, n.cost
+	n.ent = nil
+	n.next = e.freeEnqueue
+	e.freeEnqueue = n
+	ent.chain.req.bd.Orch += e.K.Now() - t0
+	ent.sp.QueuedSeg(obs.SegDispatch, "cores", t0, cost)
 	dst := e.Accels[ent.Prog.Instrs[ent.PC].Accel]
-	r := ent.chain.req
-	t0 := e.K.Now()
-	e.DMA.Transfer(src, dst.Node, ent.DataBytes, ent.Prog.EncodedBytes(), ent.sp, func() {
-		r.bd.Comm += e.K.Now() - t0
-		done()
-	})
+	e.DMA.Transfer(e.Place.CoreNode(0), dst.Node, ent.DataBytes, ent.Prog.EncodedBytes(), ent.sp, e.commThenDeliver(ent, false))
 }
 
 // commDone is a pooled "charge Comm, then deliver" continuation for
@@ -185,7 +199,7 @@ func (e *Engine) offer(a *accel.Accelerator, ent *entryState, fromDispatcher boo
 		e.cpuFallback(ent, ent.PC)
 		return
 	}
-	switch a.Offer(ent.Entry, fromDispatcher) {
+	switch a.Offer(&ent.Entry, fromDispatcher) {
 	case accel.Admitted, accel.Overflowed:
 		// The accelerator machinery takes over; OnReady resumes us.
 	case accel.Rejected:
@@ -399,7 +413,7 @@ func (e *Engine) spawnFork(a *accel.Accelerator, ent *entryState, name string) {
 	e.Stats.ForksSpawned++
 	ent.chain.fork()
 	f := &entryState{
-		Entry: &accel.Entry{
+		Entry: accel.Entry{
 			Prog: prog, PC: 0, Flags: ent.Flags,
 			DataBytes: ent.DataBytes, Tenant: ent.Tenant,
 			Deadline: ent.Deadline, EnqueuedAt: e.K.Now(),
@@ -599,7 +613,7 @@ func (e *Engine) armTail(a *accel.Accelerator, ent *entryState, rk RemoteKind, a
 		w = e.Cfg.TCPTimeout
 	}
 	t0 := e.K.Now()
-	res := a.Arm(ent.Entry, wait, func() {
+	res := a.Arm(&ent.Entry, wait, func() {
 		if attempt < e.Cfg.TimeoutRearms {
 			e.Stats.TimeoutRearms++
 			e.armTail(a, ent, rk, attempt+1)

@@ -140,6 +140,32 @@ func (k *Kernel) At(t Time, fn func()) {
 	k.events.push(event{at: t, seq: k.seq, fn: fn})
 }
 
+// Reserve sets aside n consecutive sequence numbers and returns the
+// first. A source that knows it will schedule n events can then queue
+// them one at a time with AtSeq — each event scheduling its successor —
+// and every event keeps the (time, seq) key it would have had if all n
+// had been scheduled with At right now. Pop order, and with it every
+// result, is therefore the same as the eager schedule, while the queue
+// holds one pending event per source instead of all of them.
+func (k *Kernel) Reserve(n int) uint64 {
+	first := k.seq + 1
+	k.seq += uint64(n)
+	return first
+}
+
+// AtSeq schedules fn at absolute time t under a sequence number
+// previously handed out by Reserve. Each reserved number must be used
+// at most once. Like At, scheduling in the past panics.
+func (k *Kernel) AtSeq(t Time, seq uint64, fn func()) {
+	if t < k.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
+	}
+	if seq == 0 || seq > k.seq {
+		panic(fmt.Sprintf("sim: sequence number %d was never reserved", seq))
+	}
+	k.events.push(event{at: t, seq: seq, fn: fn})
+}
+
 // After schedules fn to run d after the current time.
 func (k *Kernel) After(d Time, fn func()) {
 	if d < 0 {
@@ -274,8 +300,11 @@ func (k *Kernel) runEpoch(ctx context.Context, horizon Time, checkEvery uint64) 
 // tickers' queued ticks deliberately do not count as pending work —
 // counting them would let two samplers (say the observability sampler
 // and the controller tick) sustain each other forever. This is sound
-// for harnesses that schedule all their stimulus up front — the
-// non-tick pending count only reaches zero when the run is truly over.
+// as long as every source of future stimulus keeps at least one event
+// queued while it has more to come — stimulus scheduled up front, or a
+// lazily scheduled arrival stream (Reserve/AtSeq) whose pending arrival
+// schedules the next — so the non-tick pending count only reaches zero
+// when the run is truly over.
 func (k *Kernel) Every(d Time, fn func()) {
 	if d <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %v", d))

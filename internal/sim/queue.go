@@ -14,11 +14,12 @@ package sim
 //     window of numBuckets fixed-width buckets starting at bucketStart
 //     takes O(1) appends; the bucket being drained (the "rung") is a
 //     small concrete heap; everything beyond the near horizon sits in
-//     a far heap (pre-scheduled arrivals, far timeouts). Scheduling a
+//     a far heap (far timeouts, the next arrival of a slow source,
+//     stimulus a harness schedules up front). Scheduling a
 //     near-future event — the overwhelmingly common case in a busy
 //     run — costs O(1) or O(log rung) instead of O(log total), and
 //     the rung heap stays small because it only ever holds one bucket
-//     width of events, not every pre-scheduled arrival in the run.
+//     width of events, not every far-future event in the queue.
 //
 // The representations order identically (the comparison key (at, seq)
 // is unique, so any correct priority queue pops the same sequence),
@@ -35,8 +36,8 @@ const (
 
 	// bucketShift fixes the bucket width at 2^20 ps ~= 1.05us: around
 	// the accelerator service-time scale, so one bucket holds a burst
-	// of near-future events while pre-scheduled arrivals (ms scale)
-	// stay in the far heap.
+	// of near-future events while far ones (timeouts, arrivals
+	// microseconds to milliseconds out) stay in the far heap.
 	bucketShift = 20
 	bucketWidth = Time(1) << bucketShift
 	numBuckets  = 256

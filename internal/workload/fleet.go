@@ -278,72 +278,69 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 	return out, nil
 }
 
-// scheduleFleetSource pre-schedules one source's arrivals on the
-// ingress domain. Each arrival picks a replica, then forwards the job
-// across domains with the modeled one-way latency; the completion
-// callback runs on the replica's domain and owns that replica's
-// recorders (domain confinement keeps the merge deterministic and the
-// run race-free).
+// scheduleFleetSource drives one source's arrivals on the ingress
+// domain through a lazy arrivalStream: the ingress queue holds one
+// pending arrival per source, under the sequence number an eager
+// schedule would have given it. Each arrival picks a replica, then
+// forwards the job across domains with the modeled one-way latency;
+// the completion callback runs on the replica's domain and owns that
+// replica's recorders (domain confinement keeps the merge
+// deterministic and the run race-free).
 func scheduleFleetSource(sk *sim.Sharded, src Source, rng *sim.RNG, lb *balancer, ctl *control.Controller, engines []*engine.Engine, out *FleetResult, forward sim.Time) {
 	ing := sk.Domain(0)
 	// Completion notices flow back whenever anything at the ingress
 	// consumes them: the least-outstanding balancer's load view, or the
 	// controller's outstanding count and latency window.
 	notify := lb.tracksLoad() || ctl != nil
-	t := sim.Time(0)
-	for i := 0; i < src.Requests; i++ {
-		t += src.Arrivals.Next(rng)
-		at := t
-		ing.At(at, func() {
-			if ctl != nil && ctl.Shed() {
-				out.Shed++
-				return
-			}
-			ri := lb.pick()
-			out.Routed[ri]++
-			if ctl != nil {
-				ctl.NoteSubmit()
-			}
-			job := src.Service.Job(src.Tenant)
-			rr := out.Replicas[ri]
-			rec := rr.PerService[src.Service.Name]
-			repK := sk.Domain(1 + ri)
-			ing.Send(1+ri, at+forward, func() {
-				engines[ri].Submit(job, func(r engine.Result) {
-					rec.Add(r.Latency)
-					rr.All.Add(r.Latency)
-					net := r.Latency - r.Breakdown.Remote
-					if net < r.Latency/4 {
-						net = r.Latency / 4
-					}
-					rr.Net.Add(net)
-					rr.Completed++
-					rr.AccelCount += uint64(r.Accels)
-					if r.TimedOut {
-						rr.TimedOut++
-					}
-					if r.FellBack {
-						rr.FellBack++
-					}
-					addBreakdown(&rr.Breakdown, r.Breakdown)
-					if notify {
-						// Completion notice travels back to the ingress
-						// over the same forwarding latency.
-						done := ri
-						lat := r.Latency
-						repK.Send(0, repK.Now()+forward, func() {
-							if lb.tracksLoad() {
-								lb.done(done)
-							}
-							if ctl != nil {
-								ctl.NoteDone(ing.Now(), lat)
-							}
-						})
-					}
-				})
+	startArrivals(ing, src, rng, func(at sim.Time) {
+		if ctl != nil && ctl.Shed() {
+			out.Shed++
+			return
+		}
+		ri := lb.pick()
+		out.Routed[ri]++
+		if ctl != nil {
+			ctl.NoteSubmit()
+		}
+		job := src.Service.Job(src.Tenant)
+		rr := out.Replicas[ri]
+		rec := rr.PerService[src.Service.Name]
+		repK := sk.Domain(1 + ri)
+		ing.Send(1+ri, at+forward, func() {
+			engines[ri].Submit(job, func(r engine.Result) {
+				rec.Add(r.Latency)
+				rr.All.Add(r.Latency)
+				net := r.Latency - r.Breakdown.Remote
+				if net < r.Latency/4 {
+					net = r.Latency / 4
+				}
+				rr.Net.Add(net)
+				rr.Completed++
+				rr.AccelCount += uint64(r.Accels)
+				if r.TimedOut {
+					rr.TimedOut++
+				}
+				if r.FellBack {
+					rr.FellBack++
+				}
+				addBreakdown(&rr.Breakdown, r.Breakdown)
+				if notify {
+					// Completion notice travels back to the ingress
+					// over the same forwarding latency.
+					done := ri
+					lat := r.Latency
+					repK.Send(0, repK.Now()+forward, func() {
+						if lb.tracksLoad() {
+							lb.done(done)
+						}
+						if ctl != nil {
+							ctl.NoteDone(ing.Now(), lat)
+						}
+					})
+				}
 			})
 		})
-	}
+	})
 }
 
 // balancer is the ingress routing policy. All state lives on the

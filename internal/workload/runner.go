@@ -199,20 +199,21 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		return nil, fmt.Errorf("workload: no requests to run")
 	}
 	if ctl != nil && ctl.NeedsTick() {
-		// The decision tick arms like the obs sampler (below): after all
-		// arrivals are scheduled, through Kernel.Every's self-terminating
-		// reschedule, so the controller stops when the run drains. Armed
-		// first so its event-sequence position is fixed whether or not
-		// observability is on.
+		// The decision tick arms like the obs sampler (below): after
+		// every source has reserved its arrival sequence numbers,
+		// through Kernel.Every's self-terminating reschedule, so the
+		// controller stops when the run drains. Armed first so its
+		// event-sequence position is fixed whether or not observability
+		// is on.
 		h := k.Hooks()
 		h.Periodic = append(h.Periodic, ctl.Periodic(k))
 		k.SetHooks(h)
 	}
 	if s.Obs != nil {
 		// Layered over the hooks the engine installed (checker OnEvent):
-		// the sampler arms here, after all arrivals are scheduled, which
-		// fixes its event-sequence position exactly where the run needs
-		// it (see samplerHook).
+		// the sampler arms here, after every source has reserved its
+		// arrival sequence numbers, which fixes its event-sequence
+		// position exactly where the run needs it (see samplerHook).
 		h := k.Hooks()
 		h.Periodic = append(h.Periodic, samplerHook(k, e, s.Obs))
 		k.SetHooks(h)
@@ -241,10 +242,11 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 // entry. Every interval it converts each resource's busy-time delta
 // into a [0,1] utilization sample. The callback only reads counters —
 // it never touches RNG streams or queue state — so enabling
-// observability cannot change simulation results; and because all
-// arrivals are scheduled up front, Kernel.Every's self-termination
-// rule (which SetHooks arms Periodic entries through) ends the
-// sampler exactly when the run ends.
+// observability cannot change simulation results; and because every
+// source keeps its next arrival queued until its last one has run
+// (see arrivalStream), Kernel.Every's self-termination rule (which
+// SetHooks arms Periodic entries through) ends the sampler exactly
+// when the run ends.
 func samplerHook(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) sim.Periodic {
 	iv := sink.SampleInterval()
 	span := float64(iv)
@@ -301,25 +303,116 @@ func samplerHook(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) sim.Periodic {
 	}}
 }
 
+// arrivalStream drives one source's open-loop arrivals lazily: only
+// the next arrival is ever queued, and each arrival draws the gap to
+// its successor and schedules it before its own work runs. The source
+// reserves one kernel sequence number per request up front (at the
+// point where an eager schedule would have queued them all), and
+// arrival i is queued under the i-th reserved number, so every arrival
+// keeps the (time, seq) key of the eager schedule — pop order and all
+// results are unchanged — while the event queue holds one arrival per
+// source instead of thousands. The per-source RNG is drawn only here,
+// so drawing each gap one arrival later changes no stream.
+type arrivalStream struct {
+	k      *sim.Kernel
+	arr    Arrivals
+	rng    *sim.RNG
+	at     sim.Time // time of the queued arrival
+	seq    uint64   // its reserved sequence number
+	left   int      // arrivals still to queue after it
+	arrive func(at sim.Time)
+	fn     func() // s.fire, bound once
+}
+
+// startArrivals reserves src.Requests sequence numbers on k and queues
+// the first arrival; arrive runs once per arrival at its time.
+func startArrivals(k *sim.Kernel, src Source, rng *sim.RNG, arrive func(at sim.Time)) {
+	s := &arrivalStream{k: k, arr: src.Arrivals, rng: rng, left: src.Requests - 1, arrive: arrive}
+	s.fn = s.fire
+	s.seq = k.Reserve(src.Requests)
+	s.at = s.arr.Next(rng)
+	k.AtSeq(s.at, s.seq, s.fn)
+}
+
+func (s *arrivalStream) fire() {
+	at := s.at
+	if s.left > 0 {
+		s.left--
+		s.seq++
+		s.at += s.arr.Next(s.rng)
+		s.k.AtSeq(s.at, s.seq, s.fn)
+	}
+	s.arrive(at)
+}
+
+// sourceRun is one uncontrolled source's request path: its arrival and
+// completion callbacks are methods bound once per source, so a request
+// allocates no closure of its own here.
+type sourceRun struct {
+	e    *engine.Engine
+	src  Source
+	rec  *metrics.Recorder
+	res  *RunResult
+	done func(engine.Result) // s.complete, bound once
+}
+
 func scheduleSource(k *sim.Kernel, e *engine.Engine, src Source, rng *sim.RNG, rec *metrics.Recorder, res *RunResult) {
-	t := sim.Time(0)
-	for i := 0; i < src.Requests; i++ {
-		t += src.Arrivals.Next(rng)
-		at := t
-		k.At(at, func() {
+	s := &sourceRun{e: e, src: src, rec: rec, res: res}
+	s.done = s.complete
+	startArrivals(k, src, rng, s.arrive)
+}
+
+func (s *sourceRun) arrive(sim.Time) {
+	s.e.Submit(s.src.Service.Job(s.src.Tenant), s.done)
+}
+
+func (s *sourceRun) complete(r engine.Result) {
+	res := s.res
+	s.rec.Add(r.Latency)
+	res.All.Add(r.Latency)
+	// Remote sums ALL peer waits, including overlapped parallel ones,
+	// so it can exceed the critical path; floor the on-server estimate
+	// at a quarter of the end-to-end latency.
+	net := r.Latency - r.Breakdown.Remote
+	if net < r.Latency/4 {
+		net = r.Latency / 4
+	}
+	res.Net.Add(net)
+	res.Completed++
+	res.AccelCount += uint64(r.Accels)
+	if r.TimedOut {
+		res.TimedOut++
+	}
+	if r.FellBack {
+		res.FellBack++
+	}
+	addBreakdown(&res.Breakdown, r.Breakdown)
+}
+
+// scheduleControlledSource is scheduleSource with the controller on
+// the request path: arrivals may be shed before submission, and
+// timed-out completions may be re-submitted after a backoff. It is a
+// separate function (rather than a ctl != nil branch in sourceRun) so
+// the uncontrolled hot path keeps its exact event sequence and
+// allocation profile. Arrivals come from the same lazy arrivalStream;
+// retries are ordinary After events.
+//
+// Accounting contract: Completed/TimedOut/FellBack/AccelCount and the
+// breakdown accrue on every engine completion (retries included), so
+// conservation against the engine's admission counter balances; the
+// latency recorders see only each request's final attempt, and shed
+// arrivals see nothing, so recorder counts equal arrivals - Shed.
+func scheduleControlledSource(k *sim.Kernel, e *engine.Engine, ctl *control.Controller, src Source, rng *sim.RNG, rec *metrics.Recorder, res *RunResult) {
+	startArrivals(k, src, rng, func(sim.Time) {
+		if ctl.Shed() {
+			res.Shed++
+			return
+		}
+		var submit func(attempt int)
+		submit = func(attempt int) {
 			job := src.Service.Job(src.Tenant)
+			ctl.NoteSubmit()
 			e.Submit(job, func(r engine.Result) {
-				rec.Add(r.Latency)
-				res.All.Add(r.Latency)
-				// Remote sums ALL peer waits, including overlapped
-				// parallel ones, so it can exceed the critical path;
-				// floor the on-server estimate at a quarter of the
-				// end-to-end latency.
-				net := r.Latency - r.Breakdown.Remote
-				if net < r.Latency/4 {
-					net = r.Latency / 4
-				}
-				res.Net.Add(net)
 				res.Completed++
 				res.AccelCount += uint64(r.Accels)
 				if r.TimedOut {
@@ -329,67 +422,25 @@ func scheduleSource(k *sim.Kernel, e *engine.Engine, src Source, rng *sim.RNG, r
 					res.FellBack++
 				}
 				addBreakdown(&res.Breakdown, r.Breakdown)
+				ctl.NoteDone(k.Now(), r.Latency)
+				if r.TimedOut {
+					if backoff, ok := ctl.RetryAfter(src.Tenant, attempt); ok {
+						res.Retries++
+						k.After(backoff, func() { submit(attempt + 1) })
+						return
+					}
+				}
+				rec.Add(r.Latency)
+				res.All.Add(r.Latency)
+				net := r.Latency - r.Breakdown.Remote
+				if net < r.Latency/4 {
+					net = r.Latency / 4
+				}
+				res.Net.Add(net)
 			})
-		})
-	}
-}
-
-// scheduleControlledSource is scheduleSource with the controller on
-// the request path: arrivals may be shed before submission, and
-// timed-out completions may be re-submitted after a backoff. It is a
-// separate function (rather than a ctl != nil branch inside the
-// closure) so the uncontrolled hot path keeps its exact event
-// sequence, closure shape, and allocation profile.
-//
-// Accounting contract: Completed/TimedOut/FellBack/AccelCount and the
-// breakdown accrue on every engine completion (retries included), so
-// conservation against the engine's admission counter balances; the
-// latency recorders see only each request's final attempt, and shed
-// arrivals see nothing, so recorder counts equal arrivals - Shed.
-func scheduleControlledSource(k *sim.Kernel, e *engine.Engine, ctl *control.Controller, src Source, rng *sim.RNG, rec *metrics.Recorder, res *RunResult) {
-	t := sim.Time(0)
-	for i := 0; i < src.Requests; i++ {
-		t += src.Arrivals.Next(rng)
-		at := t
-		k.At(at, func() {
-			if ctl.Shed() {
-				res.Shed++
-				return
-			}
-			var submit func(attempt int)
-			submit = func(attempt int) {
-				job := src.Service.Job(src.Tenant)
-				ctl.NoteSubmit()
-				e.Submit(job, func(r engine.Result) {
-					res.Completed++
-					res.AccelCount += uint64(r.Accels)
-					if r.TimedOut {
-						res.TimedOut++
-					}
-					if r.FellBack {
-						res.FellBack++
-					}
-					addBreakdown(&res.Breakdown, r.Breakdown)
-					ctl.NoteDone(k.Now(), r.Latency)
-					if r.TimedOut {
-						if backoff, ok := ctl.RetryAfter(src.Tenant, attempt); ok {
-							res.Retries++
-							k.After(backoff, func() { submit(attempt + 1) })
-							return
-						}
-					}
-					rec.Add(r.Latency)
-					res.All.Add(r.Latency)
-					net := r.Latency - r.Breakdown.Remote
-					if net < r.Latency/4 {
-						net = r.Latency / 4
-					}
-					res.Net.Add(net)
-				})
-			}
-			submit(1)
-		})
-	}
+		}
+		submit(1)
+	})
 }
 
 func addBreakdown(dst *engine.Breakdown, b engine.Breakdown) {
