@@ -1,6 +1,11 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -99,6 +104,154 @@ func TestKernelRunUntil(t *testing.T) {
 	k.Run()
 	if ran != 3 {
 		t.Errorf("ran %d events after Run, want 3", ran)
+	}
+}
+
+// refKernel is the kernel's RunUntil loop written over the
+// container/heap reference: the same (at, seq) scheduling with an
+// eager pop and no deferred root removal.
+type refKernel struct {
+	now Time
+	seq uint64
+	q   refHeap
+}
+
+func (k *refKernel) Now() Time { return k.now }
+
+func (k *refKernel) At(t Time, fn func()) {
+	k.seq++
+	heap.Push(&k.q, event{at: t, seq: k.seq, fn: fn})
+}
+
+func (k *refKernel) RunUntil(deadline Time) {
+	for len(k.q) > 0 && k.q[0].at <= deadline {
+		e := heap.Pop(&k.q).(event)
+		k.now = e.at
+		e.fn()
+	}
+}
+
+// eventScheduler is the scheduling surface kernelShapeModel drives:
+// a *Kernel or a *refKernel.
+type eventScheduler interface {
+	At(Time, func())
+	Now() Time
+}
+
+// kernelShapeModel schedules a kernel-shaped population on s: roots
+// initial events, each of which logs itself and schedules 0, 1 or 2
+// successors 4ns-2us out until budget successors have been scheduled.
+// Choices draw from one stream in execution order, so two schedulers
+// produce the same log exactly as long as they pop in the same order.
+func kernelShapeModel(s eventScheduler, seed int64, roots, budget int) *[]string {
+	r := rand.New(rand.NewSource(seed))
+	log := &[]string{}
+	id := 0
+	var spawn func()
+	spawn = func() {
+		for n := r.Intn(3); n > 0 && budget > 0; n-- {
+			budget--
+			me := id
+			id++
+			s.At(s.Now()+logUniformDelay(r), func() {
+				*log = append(*log, fmt.Sprintf("e%d@%d", me, s.Now()))
+				spawn()
+			})
+		}
+	}
+	for i := 0; i < roots; i++ {
+		me := id
+		id++
+		s.At(logUniformDelay(r), func() {
+			*log = append(*log, fmt.Sprintf("e%d@%d", me, s.Now()))
+			spawn()
+		})
+	}
+	return log
+}
+
+// TestKernelRunUntilHolePending stops RunUntil right after callbacks
+// that scheduled nothing, so the popped root's removal is still
+// deferred when the loop decides to stop: Pending must be exact there,
+// and Run must resume in reference order.
+func TestKernelRunUntilHolePending(t *testing.T) {
+	t.Run("scripted", func(t *testing.T) {
+		k := NewKernel()
+		var order []Time
+		note := func() { order = append(order, k.Now()) }
+		k.At(10, note)
+		k.At(20, note) // last event before the deadline; schedules nothing
+		k.At(30, note)
+		k.RunUntil(20)
+		if k.Pending() != 1 || k.Now() != 20 {
+			t.Fatalf("after RunUntil(20): pending %d now %v, want 1 and 20ps", k.Pending(), k.Now())
+		}
+		k.RunUntil(35) // drains the queue: the last pop leaves an empty hole
+		if k.Pending() != 0 || !k.events.hole {
+			t.Fatalf("after RunUntil(35): pending %d hole %v, want 0 and a pending hole", k.Pending(), k.events.hole)
+		}
+		k.At(40, note) // fills the empty hole
+		k.At(36, note)
+		k.Run()
+		if want := []Time{10, 20, 30, 36, 40}; !reflect.DeepEqual(order, want) {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	})
+	t.Run("kernel-shape", func(t *testing.T) {
+		for seed := int64(1); seed <= 4; seed++ {
+			k, ref := NewKernel(), &refKernel{}
+			got := kernelShapeModel(k, seed, 48, 4000)
+			want := kernelShapeModel(ref, seed, 48, 4000)
+			for deadline := Time(0); len(ref.q) > 0; deadline += 37 * Nanosecond {
+				k.RunUntil(deadline)
+				ref.RunUntil(deadline)
+				if k.Pending() != len(ref.q) {
+					t.Fatalf("seed %d: Pending() = %d at deadline %v, reference holds %d",
+						seed, k.Pending(), deadline, len(ref.q))
+				}
+				if deadline > 20*Microsecond {
+					break // resume the rest with Run
+				}
+			}
+			k.Run()
+			ref.RunUntil(math.MaxInt64)
+			if k.Pending() != 0 || !reflect.DeepEqual(*got, *want) {
+				t.Fatalf("seed %d: kernel ran %d events (pending %d), reference %d; logs differ",
+					seed, len(*got), k.Pending(), len(*want))
+			}
+		}
+	})
+}
+
+// TestKernelEveryAfterEmptyCallback runs a ticker right after a
+// callback that scheduled nothing: the tick's own pop leaves a hole,
+// and Every's liveness check must see only the events truly pending —
+// counting the popped event would keep the ticker alive forever.
+func TestKernelEveryAfterEmptyCallback(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		real []Time
+		want []string
+	}{
+		{"last-event", []Time{10}, []string{"real@10000", "tick@10000"}},
+		{"gap", []Time{10, 25}, []string{"real@10000", "tick@10000", "tick@20000", "real@25000", "tick@30000"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			var log []string
+			for _, at := range tc.real {
+				k.At(at*Nanosecond, func() { log = append(log, fmt.Sprintf("real@%d", k.Now())) })
+			}
+			k.Every(10*Nanosecond, func() { log = append(log, fmt.Sprintf("tick@%d", k.Now())) })
+			k.SetHooks(Hooks{MaxEvents: 100}) // tripwire: a livelock panics instead of hanging
+			k.Run()
+			if !reflect.DeepEqual(log, tc.want) {
+				t.Fatalf("log = %v, want %v", log, tc.want)
+			}
+			if k.Pending() != 0 {
+				t.Fatalf("pending = %d after Run, want 0", k.Pending())
+			}
+		})
 	}
 }
 

@@ -21,6 +21,21 @@ package sim
 //     the rung heap stays small because it only ever holds one bucket
 //     width of events, not every far-future event in the queue.
 //
+// In heap mode, pop and the push that follows it are fused. Nearly
+// every event pops the root and then schedules exactly one successor,
+// usually a few ns to a few us out, i.e. near the top of the heap. So
+// pop returns heap[0] and leaves the root as a hole (the stale slot
+// stays in place, callback cleared, count already decremented). If the
+// callback's first push arrives while the hole is pending, the new
+// event drops into the root and sifts down, typically stopping after a
+// level or two — one short sift per event instead of a full-height
+// sift-down of the last element plus a sift-up of the new one. Every
+// other reader (pop, minAt, toLadder) first settles the hole the
+// classic way: the last element moves into the root and sifts down.
+// The queue is therefore a valid (at, seq) heap whenever it is read,
+// and Len is exact throughout. All sifts move a hole and write the
+// element once instead of swapping at every level.
+//
 // The representations order identically (the comparison key (at, seq)
 // is unique, so any correct priority queue pops the same sequence),
 // which TestEventQueueDifferential proves against a container/heap
@@ -47,8 +62,10 @@ type eventQueue struct {
 	count  int
 	ladder bool
 
-	// heap mode.
+	// heap mode. While hole is set, heap[0] is a stale slot left by
+	// pop (count excludes it) and heap[1:] holds the live events.
 	heap []event
+	hole bool
 
 	// ladder mode.
 	rung        []event // concrete min-heap of the bucket being drained
@@ -64,65 +81,90 @@ func evLess(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+// heapPushEv appends e and sifts it up, moving each larger parent
+// down into the hole and writing e once where it lands.
 func heapPushEv(h *[]event, e event) {
-	*h = append(*h, e)
-	s := *h
+	s := append(*h, e)
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !evLess(&s[i], &s[p]) {
+		if !evLess(&e, &s[p]) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
+		s[i] = s[p]
 		i = p
 	}
+	s[i] = e
+	*h = s
 }
 
 func heapPopEv(h *[]event) event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s[n] = event{} // drop the callback reference for GC
 	s = s[:n]
 	*h = s
-	heapDownEv(s, 0)
+	if n > 0 {
+		heapDownEv(s, 0, last)
+	}
 	return top
 }
 
-func heapDownEv(s []event, i int) {
+// heapDownEv places e at the hole i of s, whose subtrees below i are
+// heaps: each smaller child moves up into the hole, and e is written
+// once where it lands.
+func heapDownEv(s []event, i int, e event) {
 	n := len(s)
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
 		m := l
 		if r := l + 1; r < n && evLess(&s[r], &s[l]) {
 			m = r
 		}
-		if !evLess(&s[m], &s[i]) {
-			return
+		if !evLess(&s[m], &e) {
+			break
 		}
-		s[i], s[m] = s[m], s[i]
+		s[i] = s[m]
 		i = m
 	}
+	s[i] = e
 }
 
 func heapInitEv(s []event) {
 	for i := len(s)/2 - 1; i >= 0; i-- {
-		heapDownEv(s, i)
+		heapDownEv(s, i, s[i])
 	}
 }
 
 // Len reports queued events.
 func (q *eventQueue) Len() int { return q.count }
 
+// settle removes a pending heap-mode hole: the last element moves into
+// the root and sifts down, exactly the removal pop deferred.
+func (q *eventQueue) settle() {
+	if q.hole {
+		q.hole = false
+		heapPopEv(&q.heap)
+	}
+}
+
 // push inserts an event, converting to ladder form at high occupancy.
 func (q *eventQueue) push(e event) {
 	q.count++
 	if !q.ladder {
-		heapPushEv(&q.heap, e)
+		if q.hole {
+			// Fused with the preceding pop: the new event takes the
+			// vacated root and sifts down.
+			q.hole = false
+			heapDownEv(q.heap, 0, e)
+		} else {
+			heapPushEv(&q.heap, e)
+		}
 		if q.count >= ladderOn {
 			q.toLadder()
 		}
@@ -140,11 +182,17 @@ func (q *eventQueue) push(e event) {
 	}
 }
 
-// pop removes and returns the minimum event. count must be > 0.
+// pop removes and returns the minimum event. count must be > 0. In
+// heap mode the root's removal is deferred as a hole (see the file
+// comment); the next push, or any other reader, completes it.
 func (q *eventQueue) pop() event {
 	if !q.ladder {
+		q.settle()
 		q.count--
-		return heapPopEv(&q.heap)
+		q.hole = true
+		e := q.heap[0]
+		q.heap[0].fn = nil // drop the callback reference for GC
+		return e
 	}
 	if len(q.rung) == 0 {
 		q.advanceRung()
@@ -158,10 +206,11 @@ func (q *eventQueue) pop() event {
 }
 
 // minAt returns the timestamp of the minimum event without removing
-// it. count must be > 0. In ladder mode this may promote a bucket, a
-// mutation that never changes pop order.
+// it. count must be > 0. It may settle a heap-mode hole or, in ladder
+// mode, promote a bucket: mutations that never change pop order.
 func (q *eventQueue) minAt() Time {
 	if !q.ladder {
+		q.settle()
 		return q.heap[0].at
 	}
 	if len(q.rung) == 0 {
@@ -202,6 +251,7 @@ func (q *eventQueue) advanceRung() {
 
 // toLadder distributes the heap's events into ladder form.
 func (q *eventQueue) toLadder() {
+	q.settle()
 	q.ladder = true
 	q.bucketStart = q.heap[0].at >> bucketShift << bucketShift
 	q.cur = -1

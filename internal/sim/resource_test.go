@@ -313,3 +313,36 @@ func TestResourceSetServersFloorsAtOne(t *testing.T) {
 		t.Error("floored resource no longer serves tasks")
 	}
 }
+
+// BenchmarkResourceDo measures one Resource.Do hold per op through the
+// kernel: admission, the pooled completion event and its pop. The
+// uncontended chain takes the fast path; the queued variant keeps
+// eight chains on two servers, so every Do queues a Task.
+func BenchmarkResourceDo(b *testing.B) {
+	for _, tc := range []struct {
+		name            string
+		servers, chains int
+	}{
+		{"uncontended", 1, 1},
+		{"queued", 2, 8},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			k := NewKernel()
+			r := NewResource(k, "pe", tc.servers, FIFO)
+			left := b.N
+			var next func()
+			next = func() {
+				if left > 0 {
+					left--
+					r.Do(Nanosecond, next)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < tc.chains; i++ {
+				next()
+			}
+			k.Run()
+		})
+	}
+}

@@ -107,6 +107,50 @@ func TestShardedSingleDomainIsSerial(t *testing.T) {
 	}
 }
 
+// TestShardedMailIntoPendingHole delivers mail to domains whose last
+// event in the epoch scheduled nothing locally. Domain 0 is then empty
+// with its popped root's removal still deferred, so the barrier's push
+// fills that hole; domain 1 keeps a later local event, so its hole is
+// settled before the epoch ends. Both must run in the eager order.
+func TestShardedMailIntoPendingHole(t *testing.T) {
+	hop := 10 * Nanosecond
+	for _, workers := range []int{1, 2} {
+		s := NewSharded(2, hop, workers)
+		var logs [2][]string
+		var bounce func(d, left int)
+		bounce = func(d, left int) {
+			k := s.Domain(d)
+			logs[d] = append(logs[d], fmt.Sprintf("mail@%d left=%d", k.Now(), left))
+			if left > 0 {
+				k.Send(1-d, k.Now()+hop, func() { bounce(1-d, left-1) })
+			}
+			if d == 0 && (k.Pending() != 0 || !k.events.hole) {
+				t.Errorf("workers=%d: domain 0 at %v: pending %d hole %v, want an empty pending hole",
+					workers, k.Now(), k.Pending(), k.events.hole)
+			}
+		}
+		s.Domain(0).At(0, func() {
+			logs[0] = append(logs[0], "start@0")
+			s.Domain(0).Send(1, hop, func() { bounce(1, 3) })
+		})
+		s.Domain(1).At(0, func() { logs[1] = append(logs[1], "idle@0") })
+		s.Domain(1).At(35*Nanosecond, func() { logs[1] = append(logs[1], "late@35000") })
+		if err := s.RunCtx(context.Background()); err != nil {
+			t.Fatalf("workers=%d: RunCtx: %v", workers, err)
+		}
+		want := [2][]string{
+			{"start@0", "mail@20000 left=2", "mail@40000 left=0"},
+			{"idle@0", "mail@10000 left=3", "mail@30000 left=1", "late@35000"},
+		}
+		if !reflect.DeepEqual(logs, want) {
+			t.Fatalf("workers=%d: logs = %v, want %v", workers, logs, want)
+		}
+		if s.Pending() != 0 || s.Stats.Delivered != 4 {
+			t.Fatalf("workers=%d: pending %d delivered %d, want 0 and 4", workers, s.Pending(), s.Stats.Delivered)
+		}
+	}
+}
+
 // TestShardedConservativeSendPanics pins the lookahead guard: a
 // cross-domain send landing inside the current epoch is a modeling
 // bug (the declared lookahead exceeds the true cross-domain latency)
