@@ -29,9 +29,6 @@ func TestValidateFlags(t *testing.T) {
 		{"zero requests", func(a *cliArgs) { a.n = 0 }, "-n"},
 		{"negative requests", func(a *cliArgs) { a.n = -5 }, "-n"},
 		{"negative parallel", func(a *cliArgs) { a.parallel = -1 }, "-parallel"},
-		{"shards serial", func(a *cliArgs) { a.shards = 1; a.exp = "area" }, ""},
-		{"shards sharded", func(a *cliArgs) { a.shards = 4; a.exp = "area" }, ""},
-		{"negative shards", func(a *cliArgs) { a.shards = -2 }, "-shards"},
 		{"unknown experiment", func(a *cliArgs) { a.exp = "fig99" }, "unknown experiment"},
 
 		{"ctl pe", func(a *cliArgs) { a.ctlTarget = "pe" }, ""},

@@ -54,8 +54,9 @@ const (
 
 // Spec configures one run's controller. All three sections are
 // optional; a spec with none attached is inert. The spec is plain
-// data and joins workload.RunSpec.Hash(), so controller config is
-// part of a run's content identity.
+// data and joins workload.RunSpec.Hash(), the result identity the
+// serve cache keys observed jobs by, so controlled and uncontrolled
+// runs never share a cache entry.
 type Spec struct {
 	Autoscale *AutoscaleSpec `json:"autoscale,omitempty"`
 	Shed      *ShedSpec      `json:"shed,omitempty"`

@@ -43,8 +43,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Type: JobObserved, FaultLoss: 1.5},                      // loss out of range
 		{Type: JobObserved, FaultRate: -1},                       // negative rate
 		{Type: JobExperiment, Experiment: "fig11", Parallelism: -2},
-		{Type: JobExperiment, Experiment: "fig11", Shards: -1}, // negative shard count
-		{Type: JobObserved, Shards: -4},                        // negative shard count
 		{Type: JobExperiment, Experiment: "fig11", // control on experiment
 			Control: &control.Spec{Shed: &control.ShedSpec{Queue: 64}}},
 		{Type: JobTune, Control: &control.Spec{Shed: &control.ShedSpec{Queue: 64}}},

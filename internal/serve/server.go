@@ -92,11 +92,9 @@ func (s *Server) retryAfterSeconds() string {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad job request: %w", err))
+	req, err := decodeJobRequest(w, r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	j, err := s.sched.Submit(req)
@@ -115,6 +113,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	writeJSON(w, http.StatusAccepted, j.snapshot())
+}
+
+// decodeJobRequest reads a submit body: at most maxBody bytes, one
+// JSON value, and no field JobRequest does not declare. Any error is
+// the client's (400).
+func decodeJobRequest(w http.ResponseWriter, r *http.Request) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return JobRequest{}, fmt.Errorf("serve: bad job request: %w", err)
+	}
+	return req, nil
 }
 
 // submitErrorStatus maps a Submit error to its HTTP status plus, for

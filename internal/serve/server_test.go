@@ -333,6 +333,8 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 		`{"type":"experiment","experiment":"nope"}`,
 		`{"type":"observed","faultLoss":2}`,
 		`{"type":"experiment","experiment":"fig11","bogusField":1}`,
+		// Jobs carry no shard count: one server is one resource domain.
+		`{"type":"observed","requests":120,"quick":true,"seed":11,"shards":4}`,
 	} {
 		resp := postJSON(t, ts.URL+"/v1/jobs", body)
 		resp.Body.Close()

@@ -76,30 +76,38 @@ func TestShardedWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedSingleDomainIsSerial pins the degenerate case: a
-// one-domain Sharded delegates to the kernel's own RunCtx, so results
-// match a standalone Kernel exactly.
+// TestShardedSingleDomainIsSerial: a one-domain Sharded runs the
+// epoch loop over a single kernel, and its execution order, clock and
+// event count match a standalone Kernel exactly.
 func TestShardedSingleDomainIsSerial(t *testing.T) {
-	program := func(k *Kernel) {
+	program := func(k *Kernel) []string {
+		var log []string
 		for i := 0; i < 5; i++ {
 			i := i
 			k.At(Time(5-i)*Nanosecond, func() {
+				log = append(log, fmt.Sprintf("e%d@%d", i, k.Now()))
 				if i == 0 {
 					// Self-sends on a single domain are plain local
 					// scheduling — exercised here to pin that rule.
-					k.Send(0, k.Now()+Nanosecond, func() {})
+					k.Send(0, k.Now()+Nanosecond, func() {
+						log = append(log, fmt.Sprintf("self@%d", k.Now()))
+					})
 				}
 			})
 		}
+		return log
 	}
 	plain := NewKernel()
-	program(plain)
+	plainLog := program(plain)
 	plain.Run()
 
-	s := NewSharded(1, 0, 4)
-	program(s.Domain(0))
+	s := NewSharded(1, Nanosecond, 4)
+	shardLog := program(s.Domain(0))
 	if err := s.RunCtx(context.Background()); err != nil {
 		t.Fatalf("RunCtx: %v", err)
+	}
+	if !reflect.DeepEqual(plainLog, shardLog) {
+		t.Fatalf("single-domain sharded order = %v, want %v", shardLog, plainLog)
 	}
 	if plain.Processed() != s.Processed() || plain.Now() != s.Now() {
 		t.Fatalf("single-domain sharded diverged: processed %d/%d now %v/%v",
@@ -226,24 +234,6 @@ func TestShardedCancellation(t *testing.T) {
 	}
 }
 
-// TestShardedMultiDomainHookRestrictions: value knobs broadcast;
-// closure hooks must be installed per domain.
-func TestShardedMultiDomainHookRestrictions(t *testing.T) {
-	s := NewSharded(2, Microsecond, 1)
-	s.SetHooks(Hooks{MaxEvents: 10, CheckEvery: 7})
-	for d := 0; d < 2; d++ {
-		if s.Domain(d).hooks.MaxEvents != 10 || s.Domain(d).hooks.CheckEvery != 7 {
-			t.Fatalf("domain %d hooks not broadcast: %+v", d, s.Domain(d).hooks)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("OnEvent on multi-domain Sharded did not panic")
-		}
-	}()
-	s.SetHooks(Hooks{OnEvent: func(Time) {}})
-}
-
 // TestShardedPerDomainHooks: per-domain OnEvent observes exactly that
 // domain's events in monotone time order (the checker contract).
 func TestShardedPerDomainHooks(t *testing.T) {
@@ -281,4 +271,20 @@ func TestStandaloneSendPanics(t *testing.T) {
 		}
 	}()
 	k.Send(1, Nanosecond, func() {})
+}
+
+// TestNewShardedNeedsLookahead: a zero lookahead is rejected at every
+// domain count, one domain included — there is no degenerate path
+// that skips the epoch loop.
+func TestNewShardedNeedsLookahead(t *testing.T) {
+	for _, domains := range []int{1, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSharded(%d, 0, 1) did not panic", domains)
+				}
+			}()
+			NewSharded(domains, 0, 1)
+		}()
+	}
 }

@@ -16,7 +16,7 @@ import (
 // live: a surge load pushes the PE autoscaler, a low queue threshold
 // forces sheds, and a fault burst forces timeouts that exercise the
 // retry budget (and the controller/injector SetServers composition).
-func controlledSpec(shards int) *RunSpec {
+func controlledSpec() *RunSpec {
 	// Short enqueue backoff and a single timeout rearm make the fault
 	// windows actually produce timeouts (the retry path's trigger),
 	// mirroring the recovery experiment's configuration.
@@ -28,7 +28,6 @@ func controlledSpec(shards int) *RunSpec {
 		Policy:  engine.AccelFlow(),
 		Sources: Mix(services.SocialNetwork(), 3.0, 300),
 		Seed:    11,
-		Shards:  shards,
 		Faults: &fault.Spec{
 			Rate:          20000,
 			MeanWindow:    150 * sim.Microsecond,
@@ -51,57 +50,6 @@ func controlledSpec(shards int) *RunSpec {
 			Shed:  &control.ShedSpec{Queue: 48, Prob: 0.02},
 			Retry: &control.RetrySpec{Budget: 16},
 		},
-	}
-}
-
-// runFingerprint flattens every controlled-run output a shard-count
-// change could plausibly disturb.
-type runFingerprint struct {
-	completed, timedOut, fellBack uint64
-	shed, retries                 uint64
-	mean, p99, max                sim.Time
-	count                         int
-	elapsed                       sim.Time
-	stats                         control.Stats
-}
-
-func controlledFingerprint(t *testing.T, res *RunResult) runFingerprint {
-	t.Helper()
-	if res.Control == nil {
-		t.Fatal("controlled run returned nil Control stats")
-	}
-	return runFingerprint{
-		completed: res.Completed, timedOut: res.TimedOut, fellBack: res.FellBack,
-		shed: res.Shed, retries: res.Retries,
-		mean: res.All.Mean(), p99: res.All.P99(), max: res.All.Max(),
-		count: res.All.Count(), elapsed: res.Elapsed,
-		stats: *res.Control,
-	}
-}
-
-// TestControlledRunShardInvariance: a run with every control policy
-// active (autoscaler + shedding + retries, composed with a fault
-// burst) is byte-identical at shard counts {1, 2, 4}.
-func TestControlledRunShardInvariance(t *testing.T) {
-	run := func(shards int) runFingerprint {
-		res, err := controlledSpec(shards).Run()
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return controlledFingerprint(t, res)
-	}
-	ref := run(1)
-	// The test is vacuous unless every policy actually fired.
-	if ref.stats.ScaleUps == 0 {
-		t.Fatal("surge produced no scale-ups — controller not engaged")
-	}
-	if ref.shed == 0 || ref.retries == 0 {
-		t.Fatalf("shed=%d retries=%d — shedding/retry paths not exercised", ref.shed, ref.retries)
-	}
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != ref {
-			t.Errorf("shards=%d diverged from serial:\n got %+v\nwant %+v", shards, got, ref)
-		}
 	}
 }
 
@@ -195,12 +143,12 @@ func TestFleetControlValidation(t *testing.T) {
 // TestRunControlValidation: single-server runs reject the replicas
 // target (no fleet to scale) and invalid specs.
 func TestRunControlValidation(t *testing.T) {
-	spec := controlledSpec(0)
+	spec := controlledSpec()
 	spec.Control.Autoscale.Target = control.TargetReplicas
 	if _, err := spec.Run(); err == nil || !strings.Contains(err.Error(), "replicas") {
 		t.Fatalf("Run() error = %v, want replicas-target rejection", err)
 	}
-	spec = controlledSpec(0)
+	spec = controlledSpec()
 	spec.Control.Shed.Prob = 1.5
 	if _, err := spec.Run(); err == nil || !strings.Contains(err.Error(), "probability") {
 		t.Fatalf("Run() error = %v, want shed-probability rejection", err)

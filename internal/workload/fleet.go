@@ -308,22 +308,8 @@ func scheduleFleetSource(sk *sim.Sharded, src Source, rng *sim.RNG, lb *balancer
 		repK := sk.Domain(1 + ri)
 		ing.Send(1+ri, at+forward, func() {
 			engines[ri].Submit(job, func(r engine.Result) {
-				rec.Add(r.Latency)
-				rr.All.Add(r.Latency)
-				net := r.Latency - r.Breakdown.Remote
-				if net < r.Latency/4 {
-					net = r.Latency / 4
-				}
-				rr.Net.Add(net)
-				rr.Completed++
-				rr.AccelCount += uint64(r.Accels)
-				if r.TimedOut {
-					rr.TimedOut++
-				}
-				if r.FellBack {
-					rr.FellBack++
-				}
-				addBreakdown(&rr.Breakdown, r.Breakdown)
+				rr.recordLatency(rec, r)
+				rr.countCompletion(r)
 				if notify {
 					// Completion notice travels back to the ingress
 					// over the same forwarding latency.

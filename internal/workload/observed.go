@@ -52,12 +52,6 @@ type ObservedParams struct {
 	// -check flag on both binaries). Checking never changes results;
 	// a violation fails the run with a structured error.
 	Check bool
-
-	// Shards selects the sharded execution path (RunSpec.Shards; the
-	// -shards flag on both binaries). Artifacts stay byte-identical at
-	// any value, so it is excluded from the determinism contract above
-	// only in the trivial sense: it cannot change the bytes.
-	Shards int
 }
 
 // Validate rejects out-of-range parameters with a caller-facing
@@ -73,8 +67,6 @@ func (p ObservedParams) Validate() error {
 		return fmt.Errorf("observed run: fault window must be non-negative, got %v", p.FaultWindow)
 	case p.FaultLoss < 0 || p.FaultLoss > 1:
 		return fmt.Errorf("observed run: fault loss rate must be in [0,1], got %v", p.FaultLoss)
-	case p.Shards < 0:
-		return fmt.Errorf("observed run: shards must be non-negative, got %d", p.Shards)
 	}
 	if p.Control != nil {
 		if err := p.Control.Validate(); err != nil {
@@ -109,7 +101,6 @@ func BuildObserved(p ObservedParams) (*RunSpec, *obs.Sink, error) {
 		Policy:  engine.AccelFlow(),
 		Sources: Mix(services.SocialNetwork(), 1.0, n),
 		Seed:    p.Seed,
-		Shards:  p.Shards,
 		Obs:     sink,
 		Control: p.Control,
 	}

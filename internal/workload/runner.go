@@ -96,15 +96,6 @@ type RunSpec struct {
 	// read state, so an attached checker never changes Values. Each
 	// Checker covers exactly one run.
 	Check *check.Checker
-	// Shards > 1 routes execution through the sharded coordinator
-	// (sim.Sharded) instead of a bare kernel. A single simulated server
-	// is one resource domain — every component shares the engine's
-	// state — so a RunSpec run always occupies one domain and the knob
-	// changes the execution path, never the results: sharded output is
-	// byte-identical to serial at any shard count. Multi-domain
-	// parallelism (one domain per server plus an ingress balancer)
-	// comes from FleetSpec, where Shards sets the worker count.
-	Shards int
 }
 
 // Run drives one engine with the spec's sources until every request
@@ -121,22 +112,7 @@ func (s *RunSpec) Run() (*RunResult, error) {
 // misleading. With a background (or nil) context the behavior and
 // results are bit-identical to Run.
 func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
-	var (
-		k      *sim.Kernel
-		runner sim.Runner
-	)
-	if s.Shards > 1 {
-		// One server = one domain (see the Shards doc): the coordinator
-		// delegates a single domain to the kernel's own run loop, so
-		// this path is the serial path, executed through the unified
-		// Runner contract.
-		sk := sim.NewSharded(1, 0, s.Shards)
-		k = sk.Domain(0)
-		runner = sk
-	} else {
-		k = sim.NewKernel()
-		runner = k
-	}
+	k := sim.NewKernel()
 	p := engine.Params{Seed: s.Seed, Obs: s.Obs, Check: s.Check}
 	if s.Faults != nil {
 		p.Faults = fault.New(*s.Faults, sim.DeriveSeed(s.Seed, "faults"))
@@ -218,7 +194,7 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		h.Periodic = append(h.Periodic, samplerHook(k, e, s.Obs))
 		k.SetHooks(h)
 	}
-	if err := runner.RunCtx(ctx); err != nil {
+	if err := k.RunCtx(ctx); err != nil {
 		return nil, fmt.Errorf("workload: run interrupted: %w", err)
 	}
 	res.Elapsed = k.Now()
@@ -367,17 +343,13 @@ func (s *sourceRun) arrive(sim.Time) {
 }
 
 func (s *sourceRun) complete(r engine.Result) {
-	res := s.res
-	s.rec.Add(r.Latency)
-	res.All.Add(r.Latency)
-	// Remote sums ALL peer waits, including overlapped parallel ones,
-	// so it can exceed the critical path; floor the on-server estimate
-	// at a quarter of the end-to-end latency.
-	net := r.Latency - r.Breakdown.Remote
-	if net < r.Latency/4 {
-		net = r.Latency / 4
-	}
-	res.Net.Add(net)
+	s.res.recordLatency(s.rec, r)
+	s.res.countCompletion(r)
+}
+
+// countCompletion accrues one engine completion, a retried attempt
+// included, into the run's counters and component breakdown.
+func (res *RunResult) countCompletion(r engine.Result) {
 	res.Completed++
 	res.AccelCount += uint64(r.Accels)
 	if r.TimedOut {
@@ -387,6 +359,21 @@ func (s *sourceRun) complete(r engine.Result) {
 		res.FellBack++
 	}
 	addBreakdown(&res.Breakdown, r.Breakdown)
+}
+
+// recordLatency records a request's final attempt in its service
+// recorder rec and in the run-wide All and Net recorders.
+func (res *RunResult) recordLatency(rec *metrics.Recorder, r engine.Result) {
+	rec.Add(r.Latency)
+	res.All.Add(r.Latency)
+	// Remote sums ALL peer waits, including overlapped parallel ones,
+	// so it can exceed the critical path; floor the on-server estimate
+	// at a quarter of the end-to-end latency.
+	net := r.Latency - r.Breakdown.Remote
+	if net < r.Latency/4 {
+		net = r.Latency / 4
+	}
+	res.Net.Add(net)
 }
 
 // scheduleControlledSource is scheduleSource with the controller on
@@ -413,15 +400,7 @@ func scheduleControlledSource(k *sim.Kernel, e *engine.Engine, ctl *control.Cont
 			job := src.Service.Job(src.Tenant)
 			ctl.NoteSubmit()
 			e.Submit(job, func(r engine.Result) {
-				res.Completed++
-				res.AccelCount += uint64(r.Accels)
-				if r.TimedOut {
-					res.TimedOut++
-				}
-				if r.FellBack {
-					res.FellBack++
-				}
-				addBreakdown(&res.Breakdown, r.Breakdown)
+				res.countCompletion(r)
 				ctl.NoteDone(k.Now(), r.Latency)
 				if r.TimedOut {
 					if backoff, ok := ctl.RetryAfter(src.Tenant, attempt); ok {
@@ -430,13 +409,7 @@ func scheduleControlledSource(k *sim.Kernel, e *engine.Engine, ctl *control.Cont
 						return
 					}
 				}
-				rec.Add(r.Latency)
-				res.All.Add(r.Latency)
-				net := r.Latency - r.Breakdown.Remote
-				if net < r.Latency/4 {
-					net = r.Latency / 4
-				}
-				res.Net.Add(net)
+				res.recordLatency(rec, r)
 			})
 		}
 		submit(1)
